@@ -26,12 +26,12 @@ LbpApp make_lbp_app(const AppConfig& cfg) {
     const PatchGrid::Patch pa = grid.patch(k);
     const int l1 = net.add_core();
     patch_core[static_cast<std::size_t>(k)] = l1;
-    core::CoreSpec& spec = net.core(l1);
-    configure_pair_axons(spec, pa.pixels());
-
-    // Layer 2: the histogram core for this patch.
+    // Layer 2: the histogram core for this patch. Both cores exist before
+    // either reference is taken: add_core() may reallocate the core table.
     const int l2 = net.add_core();
+    core::CoreSpec& spec = net.core(l1);
     core::CoreSpec& hist = net.core(l2);
+    configure_pair_axons(spec, pa.pixels());
 
     // Layer 1: comparison neurons on a stride-2 grid of interior centers.
     int j = 0;

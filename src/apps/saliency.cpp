@@ -22,11 +22,12 @@ SaliencyCorelet build_saliency_corelet(int img_w, int img_h) {
     const PatchGrid::Patch pa = s.grid.patch(k);
     const int l1 = s.net.add_core();
     s.patch_core.push_back(l1);
-    core::CoreSpec& spec = s.net.core(l1);
-    configure_pair_axons(spec, pa.pixels());
-
+    // Both cores exist before either reference is taken: add_core() may
+    // reallocate the core table.
     const int l2 = s.net.add_core();
+    core::CoreSpec& spec = s.net.core(l1);
     core::CoreSpec& combine = s.net.core(l2);
+    configure_pair_axons(spec, pa.pixels());
 
     // Layer 1: one DoG neuron per (center, scale); both scales share the
     // stride-2 interior center grid with a 2-pixel margin.

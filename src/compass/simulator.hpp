@@ -29,14 +29,12 @@
 #include "src/compass/partition.hpp"
 #include "src/core/active_set.hpp"
 #include "src/core/input_schedule.hpp"
-#include "src/core/neuron_hot.hpp"
 #include "src/core/network.hpp"
-#include "src/kernels/kernels.hpp"
+#include "src/kernels/engine.hpp"
 #include "src/noc/route.hpp"
 #include "src/obs/obs.hpp"
 #include "src/util/barrier.hpp"
 #include "src/util/bitrow.hpp"
-#include "src/util/prng.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace nsc::compass {
@@ -205,7 +203,6 @@ class Simulator final : public core::Simulator {
 
   const core::Network& net_;
   Config cfg_;
-  util::CounterPrng prng_;
   core::Tick now_ = 0;
   core::KernelStats stats_;
   CoreRange shard_;  ///< This rank's core range; [0, total_cores) at ranks == 1.
@@ -246,11 +243,7 @@ class Simulator final : public core::Simulator {
     std::uint64_t compute_ns = 0;  ///< Wall time this partition spent in phase_compute.
     std::uint64_t cores_visited = 0, cores_skipped = 0;  ///< Worklist visit/skip split.
     std::uint64_t events_delivered = 0;  ///< Spike deliveries into delay slots.
-    /// Hot-core synapse-phase visits by accumulate strategy (kernel.dispatch_*)
-    /// and by mean-crossbar-word-density bucket (kernel.density_b*, buckets of
-    /// 8 bits/word) — the per-core density view the dispatcher steers by.
-    std::uint64_t dispatch[3] = {0, 0, 0};
-    std::uint64_t density[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    kernels::KernelTally kernel;         ///< kernel.dispatch_* / kernel.density_b*.
   };
   std::vector<LocalStats> local_;
   std::uint64_t messages_ = 0;
@@ -269,9 +262,6 @@ class Simulator final : public core::Simulator {
   std::uint64_t* ctr_cores_visited_ = nullptr;
   std::uint64_t* ctr_cores_skipped_ = nullptr;
   std::uint64_t* ctr_events_delivered_ = nullptr;
-  std::uint64_t* ctr_kernel_isa_ = nullptr;       ///< kernel.isa_<tier> = 1.
-  std::uint64_t* ctr_dispatch_[3] = {};           ///< kernel.dispatch_{sparse,hybrid,dense}.
-  std::uint64_t* ctr_density_[8] = {};            ///< kernel.density_b0..b7.
   std::vector<std::uint64_t> part_compute_ns_;
 
   /// Event-driven worklist state (derived; rebuilt by init_activity). One
@@ -284,21 +274,12 @@ class Simulator final : public core::Simulator {
   std::vector<std::uint64_t> part_enabled_;    ///< Σ enabled_count_ per partition (live).
   std::vector<std::uint64_t> part_live_cores_; ///< Non-faulted cores per partition.
 
-  /// Fast-path constants for homogeneous deterministic cores (derived;
-  /// rebuilt by init_activity — see src/core/neuron_hot.hpp).
-  std::vector<std::uint8_t> hot_ok_;  ///< Core qualifies for the fast loops.
-  std::vector<std::int32_t> hot_;     ///< SoA leak|alpha|floor rows (kHotStride/core).
-  std::vector<std::int16_t> wtab_;    ///< Dense per-(core, type) weight rows.
-  std::vector<core::HotFire> fire_;   ///< Packed fire-path constants (kCoreSize/core).
-  std::vector<std::uint16_t> rowpop_;///< Crossbar row popcounts (kCoreSize/core).
-
-  /// Runtime-dispatched SIMD kernels (src/kernels/): tier resolved once at
-  /// construction (NSC_FORCE_ISA honored), then called through `kern_` on
-  /// every hot-core visit. Per-core density profiles drive the accumulate
-  /// strategy; derived perf-only state, reset by init_activity (cores touch
-  /// only their owner partition's entries, so no cross-thread sharing).
-  const kernels::Kernels* kern_ = &kernels::select_kernels();
-  std::vector<kernels::CoreProfile> profile_;
+  /// The per-core synapse/neuron engine (src/kernels/engine.hpp): fast-path
+  /// tables (derived; re-prepared by init_activity for owned cores), the
+  /// dispatched SIMD tier, per-core density profiles (a core is visited only
+  /// by its owner partition, so one profile per core never races) and the
+  /// kernel.* counters.
+  kernels::Engine engine_{net_, obs_};
 };
 
 }  // namespace nsc::compass

@@ -118,8 +118,7 @@ Network load_network(std::istream& is) {
   read_pod(is, g.chips_y);
   read_pod(is, g.cores_x);
   read_pod(is, g.cores_y);
-  if (g.chips_x <= 0 || g.chips_y <= 0 || g.cores_x <= 0 || g.cores_y <= 0 ||
-      g.total_cores() > (1 << 24)) {
+  if (!g.within_load_bound()) {
     throw std::runtime_error("implausible geometry in network file");
   }
   std::uint64_t seed = 0;

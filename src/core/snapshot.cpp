@@ -152,8 +152,7 @@ Snapshot load_snapshot(std::istream& is) {
   read_pod(is, snap.geom.cores_x);
   read_pod(is, snap.geom.cores_y);
   const Geometry& g = snap.geom;
-  if (g.chips_x <= 0 || g.chips_y <= 0 || g.cores_x <= 0 || g.cores_y <= 0 ||
-      g.total_cores() > (1 << 24)) {
+  if (!g.within_load_bound()) {
     throw std::runtime_error("implausible geometry in checkpoint file");
   }
   read_pod(is, snap.net_seed);

@@ -54,6 +54,25 @@ struct Geometry {
   [[nodiscard]] constexpr int total_cores() const noexcept { return chips() * cores_per_chip(); }
   [[nodiscard]] constexpr int neurons() const noexcept { return total_cores() * kCoreSize; }
 
+  /// Most cores a network or checkpoint file may claim.
+  static constexpr std::int64_t kMaxLoadCores = std::int64_t{1} << 24;
+
+  /// True when every dimension is positive and the grid has at most
+  /// kMaxLoadCores cores: the guard file loaders apply to an untrusted
+  /// header. The product is formed in 64 bits one factor at a time and
+  /// checked after each, so forged dimensions cannot overflow (the int
+  /// total_cores() would) before the bound is tested.
+  [[nodiscard]] constexpr bool within_load_bound() const noexcept {
+    const int dims[4] = {chips_x, chips_y, cores_x, cores_y};
+    std::int64_t n = 1;
+    for (const int d : dims) {
+      if (d <= 0) return false;
+      n *= d;  // n <= 2^24 and d < 2^31: the product fits in 64 bits.
+      if (n > kMaxLoadCores) return false;
+    }
+    return true;
+  }
+
   /// Chip index (0..chips) containing `c`.
   [[nodiscard]] constexpr int chip_of(CoreId c) const noexcept {
     return static_cast<int>(c) / cores_per_chip();

@@ -158,8 +158,10 @@ std::vector<T> get_pod_array(const std::vector<std::uint8_t>& buf, std::size_t& 
     throw std::runtime_error("ipc: truncated frame payload");
   }
   std::vector<T> v(n);
-  std::memcpy(v.data(), buf.data() + off, n * sizeof(T));
-  off += n * sizeof(T);
+  if (n != 0) {  // An empty vector's data() may be null, which memcpy forbids.
+    std::memcpy(v.data(), buf.data() + off, n * sizeof(T));
+    off += n * sizeof(T);
+  }
   return v;
 }
 

@@ -27,8 +27,9 @@
 //
 // This layer also owns the profile-guided per-core accumulate-strategy
 // choice (sparse ctz walk vs per-word hybrid vs always-SIMD dense), driven
-// by the measured row densities the backends already observe; see
-// CoreProfile below and the kernel.dispatch_* counters in
+// by the measured row densities each core visit observes; see CoreProfile
+// below, the one per-core engine in engine.hpp that runs these kernels for
+// every backend, and the kernel.dispatch_* counters in
 // docs/OBSERVABILITY.md.
 #pragma once
 
@@ -130,8 +131,9 @@ enum class Strategy : std::uint8_t {
 /// kDense always does (masked words are nonzero, so popcount >= 1 >= cut).
 [[nodiscard]] int strategy_cut(Strategy s) noexcept;
 
-/// Running density profile of one core's crossbar-word stream. The backends
-/// fold each visit's (masked words, set bits) in with update_profile; once
+/// Running density profile of one core's crossbar-word stream. The engine
+/// (src/kernels/engine.hpp) folds each visit's (masked words, set bits) in
+/// with update_profile; once
 /// enough words accumulate the strategy is re-evaluated from the mean bits
 /// per word and the window decays exponentially so the choice tracks drift.
 /// Derived perf-only state: reset (to kHybrid) at construction and after

@@ -66,7 +66,7 @@ void Session::tick(core::Tick nticks, bool record) {
   }
   if (nticks == 0) return;
   if (inputs_dirty_) {
-    inputs_.finalize();  // Re-sorts absolute-tick events; past ones stay consumed.
+    inputs_.finalize();  // Merges the new events in; past ones stay consumed.
     inputs_dirty_ = false;
   }
   QueueSink sink(&queue_, limits_.max_queued_spikes, &counters_);

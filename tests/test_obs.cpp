@@ -11,11 +11,13 @@
 #include <string>
 
 #include "src/compass/simulator.hpp"
+#include "src/core/network_io.hpp"
 #include "src/core/spike_sink.hpp"
 #include "src/netgen/recurrent.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/json_report.hpp"
 #include "src/obs/obs.hpp"
+#include "src/replica/batch.hpp"
 #include "src/tn/chip_sim.hpp"
 
 namespace nsc {
@@ -349,6 +351,40 @@ TEST(ObsEquivalence, DensityHistogramCollectionDoesNotPerturbSpikes) {
   EXPECT_EQ(tn_on_sink.spikes(), tn_off_sink.spikes());
   EXPECT_EQ(on_sink.spikes(), tn_on_sink.spikes());  // And across backends.
   EXPECT_GT(tn_on.metrics().counter_value("kernel.density_b7"), 0u);
+}
+
+TEST(ObsEquivalence, ReplicaSpikesAndKernelCountersIdenticalWithMetricsOnAndOff) {
+  // The dense golden fixture through the replica batch: its visits take the
+  // engine's fused kDense path and fill the kernel.* counters, which must
+  // agree with collection on and off, as must every replica's spikes.
+  const Network net = core::load_network(std::string(NSC_TEST_DATA_DIR) +
+                                         "/golden_recurrent_r200_k256.nsc");
+  VectorSink tn_sink;
+  tn::TrueNorthSimulator tn_sim(net);
+  tn_sim.run(60, nullptr, &tn_sink);
+  for (const int threads : {1, 3}) {
+    VectorSink on_sinks[3], off_sinks[3];
+    core::SpikeSink* on_ptrs[3] = {&on_sinks[0], &on_sinks[1], &on_sinks[2]};
+    core::SpikeSink* off_ptrs[3] = {&off_sinks[0], &off_sinks[1], &off_sinks[2]};
+    replica::BatchSimulator on(net, {.replicas = 3, .threads = threads});
+    replica::BatchSimulator off(
+        net, {.replicas = 3, .threads = threads, .collect_phase_metrics = false});
+    on.run(60, nullptr, on_ptrs);
+    off.run(60, nullptr, off_ptrs);
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(on_sinks[r].spikes(), off_sinks[r].spikes()) << "threads=" << threads;
+      EXPECT_EQ(on_sinks[r].spikes(), tn_sink.spikes()) << "threads=" << threads;
+      EXPECT_EQ(on.stats(r).sops, off.stats(r).sops);
+    }
+    for (const std::string name :
+         {"kernel.dispatch_sparse", "kernel.dispatch_hybrid", "kernel.dispatch_dense",
+          "kernel.density_b0", "kernel.density_b7"}) {
+      EXPECT_EQ(on.metrics().counter_value(name), off.metrics().counter_value(name))
+          << name << " threads=" << threads;
+    }
+    EXPECT_GT(on.metrics().counter_value("kernel.dispatch_dense"), 0u);
+    EXPECT_EQ(off.metrics().find_phase("compute")->calls, 0u);
+  }
 }
 
 TEST(ObsMetrics, CompassCollectsPhaseTimingsAndCounters) {

@@ -9,7 +9,9 @@
 // distributed-conformance suites.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "src/core/network_io.hpp"
 #include "src/core/snapshot.hpp"
@@ -211,6 +213,67 @@ TEST(NetworkHostile, TruncatedAndForgedFilesRejected) {
   std::istringstream ok(bytes);
   const Network loaded = core::load_network(ok);
   EXPECT_EQ(loaded.geom, net.geom);
+}
+
+TEST(GeometryBound, ProductCheckedInSixtyFourBits) {
+  EXPECT_TRUE((core::Geometry{1, 1, 64, 64}.within_load_bound()));
+  EXPECT_TRUE((core::Geometry{1, 1, 4096, 4096}.within_load_bound()));  // Exactly 2^24.
+  EXPECT_FALSE((core::Geometry{1, 2, 4096, 4096}.within_load_bound()));
+  EXPECT_FALSE((core::Geometry{0, 1, 64, 64}.within_load_bound()));
+  EXPECT_FALSE((core::Geometry{1, 1, -64, 64}.within_load_bound()));
+  // Products that wrap a 32-bit int to 0 or to a small positive count.
+  EXPECT_FALSE((core::Geometry{65536, 65536, 1, 1}.within_load_bound()));
+  EXPECT_FALSE((core::Geometry{65536, 65536, 64, 64}.within_load_bound()));
+  EXPECT_FALSE((core::Geometry{2147483647, 2147483647, 2147483647, 2147483647}
+                     .within_load_bound()));
+}
+
+/// Expects `load` to throw the loader's geometry error (not a later one).
+template <class Load>
+void expect_implausible_geometry(Load&& load, const char* what) {
+  try {
+    load();
+    ADD_FAILURE() << what << ": forged geometry loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("implausible geometry"), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+TEST(NetworkHostile, OverflowingGeometryRejected) {
+  // A forged .nsc header whose dimensions multiply past INT_MAX: in 32-bit
+  // arithmetic 65536 x 65536 x 1 x 1 wraps to 0 cores and would pass a
+  // "total_cores() > 2^24" test. The 64-bit bound must reject it first.
+  const Network net = hard_network();
+  std::stringstream good;
+  core::save_network(net, good);
+  for (const std::int32_t cores : {1, 64}) {
+    std::string bytes = good.str();
+    const std::int32_t geom[4] = {65536, 65536, cores, cores};
+    std::memcpy(bytes.data() + 8, geom, sizeof geom);  // After magic + version.
+    expect_implausible_geometry(
+        [&] {
+          std::istringstream forged(bytes);
+          (void)core::load_network(forged);
+        },
+        "network");
+  }
+}
+
+TEST(CheckpointHostile, OverflowingGeometryRejected) {
+  const Network net = hard_network();
+  tn::TrueNorthSimulator sim(net);
+  std::stringstream good;
+  sim.save_checkpoint(good);
+  std::string bytes = good.str();
+  const std::int32_t geom[4] = {65536, 65536, 1, 1};
+  std::memcpy(bytes.data() + 9, geom, sizeof geom);  // After magic, version, backend.
+  expect_implausible_geometry(
+      [&] {
+        std::istringstream forged(bytes);
+        (void)core::load_snapshot(forged);
+      },
+      "checkpoint");
 }
 
 TEST(FaultCampaign, DeterministicAcrossRunsAndThreads) {

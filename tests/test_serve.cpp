@@ -356,6 +356,42 @@ TEST(ServeExactness, ServedSessionMatchesSoloCompass) {
   }
 }
 
+TEST(ServeExactness, StreamedInjectEveryTickMatchesSoloCompass) {
+  // The serving pattern: inject one tick's stimulus, tick(1), read, repeat.
+  // Every input injected after the session's first tick must still be
+  // delivered. 40 ticks wrap the 16-slot delay ring more than twice. Every
+  // fifth tick also injects two ticks ahead, so the next tick's injection
+  // lands before an already-scheduled event (the merge path) and the early
+  // tick is injected again when its turn comes (duplicates).
+  const Network net = small_net(23);
+  const Tick ticks = 40;
+  const std::vector<InputSpike> events = drive_events(net, ticks + 2);
+  std::vector<std::vector<InputSpike>> by_tick(static_cast<std::size_t>(ticks + 2));
+  for (const InputSpike& e : events) by_tick[static_cast<std::size_t>(e.tick)].push_back(e);
+  std::vector<InputSpike> witness_events;
+  for (Tick t = 0; t < ticks; ++t) {
+    const auto& ev = by_tick[static_cast<std::size_t>(t)];
+    witness_events.insert(witness_events.end(), ev.begin(), ev.end());
+  }
+  const std::vector<Spike> solo = solo_witness(net, witness_events, ticks);
+
+  ServeHarness h;
+  h.add_net("net", small_net(23));
+  h.start();
+  Client c = h.client();
+  c.hello();
+  const std::uint64_t s = c.create("net");
+  std::vector<Spike> served;
+  for (Tick t = 0; t < ticks; ++t) {
+    c.inject(s, by_tick[static_cast<std::size_t>(t)]);
+    if (t % 5 == 0) c.inject(s, by_tick[static_cast<std::size_t>(t + 2)]);
+    c.tick(s, 1);
+    c.read_all_spikes(s, served);
+  }
+  testsup::expect_spikes_equal(solo, served, "streamed inject vs solo");
+  c.destroy(s);
+}
+
 TEST(ServeExactness, SessionThreadCountNeverChangesTheStream) {
   const Network net = small_net(22);
   const Tick ticks = 50;
