@@ -3,6 +3,9 @@
 // all executed on the TrueNorth backend.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "src/core/spike_sink.hpp"
 #include "src/analysis/lint.hpp"
 #include "src/corelet/lib2.hpp"
@@ -127,12 +130,19 @@ TEST(RateScaler, FullRateIsDeterministicIdentity) {
   EXPECT_EQ(spikes.size(), 100u);
 }
 
+// gtest names each case by a byte dump of its GateCase, so the struct must
+// have no padding: `name_byte` fills the byte after `want` that would
+// otherwise be uninitialised and change the case names from one build to the
+// next. Its values are the ones the case names already carry.
 struct GateCase {
   GateKind kind;
   bool a, b;
   bool want;
+  std::uint8_t name_byte;
   int latency;  ///< Output tick relative to input tick.
 };
+static_assert(std::has_unique_object_representations_v<GateCase>,
+              "GateCase must have no padding bytes");
 
 class GateTruth : public ::testing::TestWithParam<GateCase> {};
 
@@ -156,20 +166,20 @@ TEST_P(GateTruth, MatchesTruthTable) {
 
 INSTANTIATE_TEST_SUITE_P(
     TruthTables, GateTruth,
-    ::testing::Values(GateCase{GateKind::kOr, false, false, false, 0},
-                      GateCase{GateKind::kOr, true, false, true, 0},
-                      GateCase{GateKind::kOr, false, true, true, 0},
-                      GateCase{GateKind::kOr, true, true, true, 0},
-                      GateCase{GateKind::kAnd, true, false, false, 0},
-                      GateCase{GateKind::kAnd, false, true, false, 0},
-                      GateCase{GateKind::kAnd, true, true, true, 0},
+    ::testing::Values(GateCase{GateKind::kOr, false, false, false, 0x00, 0},
+                      GateCase{GateKind::kOr, true, false, true, 0x00, 0},
+                      GateCase{GateKind::kOr, false, true, true, 0x00, 0},
+                      GateCase{GateKind::kOr, true, true, true, 0x00, 0},
+                      GateCase{GateKind::kAnd, true, false, false, 0xEF, 0},
+                      GateCase{GateKind::kAnd, false, true, false, 0x00, 0},
+                      GateCase{GateKind::kAnd, true, true, true, 0x00, 0},
                       // NOT: b is the clock; output = clock AND !a.
-                      GateCase{GateKind::kNot, false, true, true, 0},
-                      GateCase{GateKind::kNot, true, true, false, 0},
-                      GateCase{GateKind::kXor, true, false, true, 1},
-                      GateCase{GateKind::kXor, false, true, true, 1},
-                      GateCase{GateKind::kXor, true, true, false, 1},
-                      GateCase{GateKind::kXor, false, false, false, 1}));
+                      GateCase{GateKind::kNot, false, true, true, 0x00, 0},
+                      GateCase{GateKind::kNot, true, true, false, 0x00, 0},
+                      GateCase{GateKind::kXor, true, false, true, 0x00, 1},
+                      GateCase{GateKind::kXor, false, true, true, 0xCA, 1},
+                      GateCase{GateKind::kXor, true, true, false, 0x00, 1},
+                      GateCase{GateKind::kXor, false, false, false, 0x00, 1}));
 
 TEST(Gates, AndIgnoresStaggeredInputs) {
   const Corelet c = make_gate(GateKind::kAnd);
